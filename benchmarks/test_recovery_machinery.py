@@ -3,7 +3,9 @@
 Section III-B of the paper notes that "for very large scale applications,
 computing the recovery line could be expensive because it requires to scan
 the table again every time a rollback is found" and suggests parallel
-scanning.  Our worklist solver makes the scan incremental; this benchmark
+scanning.  Our worklist solver rescans only the inbound entries of ranks
+whose restart bound dropped (and the Table I analysis replaces per-failure
+solves with one graph closure per snapshot); this benchmark
 measures how the recovery-line computation and a full live recovery scale
 with the rank count, and times checkpoint capture.
 """
@@ -74,7 +76,7 @@ def test_recovery_line_scaling_table(scaling_rows, benchmark):
 
 def test_recovery_line_reuses_index(benchmark):
     """Amortisation check: reusing the solver's index across failure
-    hypotheses (the Table I analysis pattern) is much cheaper than
+    hypotheses (the domino baseline's pattern) is much cheaper than
     rebuilding it per failure."""
     tables = synthetic_spe(256)
     solver = RecoveryLineSolver(tables)

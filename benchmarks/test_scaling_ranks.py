@@ -4,12 +4,16 @@ Each size runs one *quick* Table I cell (CG, 4 clusters, 4 iterations —
 the same cell the CI large-scale smoke drives) in a fresh subprocess, so
 the recorded peak RSS is that size's own footprint rather than the
 monotone maximum across the sweep.  The artefact ``results/BENCH_scale.json``
-records, per size: wall seconds, engine events dispatched, events/s,
+records, per size: wall seconds split into world construction
+(``build_wall_s``), simulation (``sim_wall_s``) and offline rollback
+analysis (``analysis_wall_s``), engine events dispatched, events/s,
 messages sent, peak RSS, and bytes of RSS per rank — the numbers behind
 the "Scaling to thousands of ranks" section of docs/performance.md.
 
-The 4096-rank cell is the PR's scaling acceptance: a quick Table I sweep
-at 4K ranks must complete in minutes (asserted < 300 s here).
+The 4096-rank cell is the scaling acceptance: a quick Table I sweep at 4K
+ranks must complete in minutes (asserted < 300 s here), and the offline
+analysis must stay a small fraction of the simulation it analyses
+(``analysis_wall_s <= 0.1 * sim_wall_s``).
 """
 
 import json
@@ -44,11 +48,13 @@ config = ProtocolConfig(
 )
 t0 = time.perf_counter()
 world, controller = build_ft_world(nprocs, factory, config, copy_payloads=False)
+t_build = time.perf_counter() - t0
+t_run = time.perf_counter()
 sampler = SpeSampler(controller, interval=7e-5)
 sampler.arm()
 world.launch()
 world.run()
-t_sim = time.perf_counter() - t0
+t_sim = time.perf_counter() - t_run
 if not sampler.snapshots:
     sampler.take()
 t1 = time.perf_counter()
@@ -59,6 +65,7 @@ maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({
     "ranks": nprocs,
     "wall_s": round(wall, 3),
+    "build_wall_s": round(t_build, 3),
     "sim_wall_s": round(t_sim, 3),
     "analysis_wall_s": round(t_analysis, 3),
     "events_dispatched": world.engine.events_dispatched,
@@ -110,6 +117,23 @@ def test_4096_rank_quick_table1_completes_in_minutes(scaling_results):
     big = scaling_results[-1]
     assert big["ranks"] == 4096
     assert big["wall_s"] < 300, f"4096-rank cell took {big['wall_s']}s"
+
+
+def test_4096_rank_analysis_is_a_tenth_of_simulation(scaling_results):
+    """The rollback closure answers all p failures of a snapshot at once:
+    at 4K ranks the offline analysis must cost at most a tenth of the
+    simulated run it analyses."""
+    big = scaling_results[-1]
+    assert big["ranks"] == 4096
+    assert big["analysis_wall_s"] <= 0.1 * big["sim_wall_s"], (
+        f"analysis {big['analysis_wall_s']}s vs simulation "
+        f"{big['sim_wall_s']}s"
+    )
+
+
+def test_rollback_percentages_are_pinned(scaling_results):
+    """The simulation is deterministic: %rl per size is exact."""
+    assert [r["pct_rollback"] for r in scaling_results] == [36.34, 52.37, 59.47]
 
 
 def test_memory_scales_subquadratically(scaling_results):

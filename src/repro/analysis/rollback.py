@@ -9,20 +9,40 @@
 
 :class:`SpeSampler` attaches to a live controller and snapshots every
 rank's SPE table at a fixed virtual period; :func:`rollback_analysis`
-replays the recovery-line fix-point for every (snapshot, failed-rank) pair
-and aggregates the statistics the paper reports (``%rl``).
+answers, for every snapshot, how many ranks the failure of each process
+would roll back, and aggregates the statistics the paper reports (``%rl``).
+
+All failures of one snapshot query the same monotone rollback-dependency
+graph, so instead of one recovery-line fix-point per (snapshot, failed
+rank) pair, :func:`rollback_counts` builds that graph once and closes it
+(the reachability view of CIC in Garcia et al., arXiv:1702.06167):
+
+* a node ``(j, b)`` stands for "rank ``j`` restarts at epoch ``b`` or
+  below", for every sending epoch ``b`` of ``j`` plus ``j``'s queried
+  restart epoch;
+* an SPE entry "``k`` sent from ``Es`` to ``j``, received in ``Er``" adds
+  the edge (``j``, largest bound of ``j`` <= ``Er``) -> (``k``, ``Es``):
+  ``j`` re-executing that reception forces ``k`` to re-send;
+* a chain edge links ``(j, b)`` to ``(j, next larger bound)``, since
+  restarting at or below ``b`` is restarting at or below any larger bound.
+
+A failure's rollback count is the number of distinct ranks reachable from
+``(f, restart epoch)`` — exactly ``len()`` of the Fig. 4 fix-point's
+recovery line, which is the least fix-point of the same implications.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.controller import FTController
-from ..core.recovery import RecoveryLineSolver
 
-__all__ = ["SpeSnapshot", "SpeSampler", "RollbackStats", "rollback_analysis"]
+__all__ = ["SpeSnapshot", "SpeSampler", "RollbackStats", "rollback_analysis",
+           "rollback_counts"]
 
 
 @dataclass
@@ -98,6 +118,115 @@ class RollbackStats:
         return min(self.counts) / self.nprocs if self.counts else 0.0
 
 
+def rollback_counts(
+    spe_tables: dict[int, dict],
+    restarts: dict[int, int],
+) -> dict[int, int]:
+    """Recovery-line size for each single-rank failure of one snapshot.
+
+    ``restarts`` maps each rank to consider failing to the epoch it would
+    restart at; the result maps it to the number of ranks its failure
+    rolls back (itself included) — ``len(compute_recovery_line(spe_tables,
+    {f: restarts[f]}))`` for every ``f``, from one graph closure.  Like a
+    count, this resolves no dates, so it does not validate restart epochs
+    against the SPE tables.
+    """
+    # bound nodes per rank: its non-empty sending epochs, plus its restart
+    bounds: dict[int, set[int]] = {}
+    for k, spe in spe_tables.items():
+        sending = {es for es, (_date, peers) in spe.items() if peers}
+        if sending:
+            bounds[k] = sending
+    for f, epoch in restarts.items():
+        bounds.setdefault(f, set()).add(epoch)
+    # rank -> (ascending bounds, id of its first node); one bit per rank
+    nodes: dict[int, tuple[list[int], int]] = {}
+    succ: list[list[int]] = []
+    bit: list[int] = []
+    for pos, (rank, rank_bounds) in enumerate(bounds.items()):
+        ordered = sorted(rank_bounds)
+        first = len(succ)
+        nodes[rank] = (ordered, first)
+        last = first + len(ordered) - 1
+        succ.extend([i + 1] for i in range(first, last))
+        succ.append([])
+        bit.extend([1 << pos] * len(ordered))
+    for k, spe in spe_tables.items():
+        for es, (_date, peers) in spe.items():
+            if not peers:
+                continue
+            k_bounds, k_first = nodes[k]
+            target = k_first + bisect_left(k_bounds, es)
+            for j, er in peers.items():
+                j_node = nodes.get(j)
+                if j_node is None:
+                    continue  # j sends nothing and is not queried: it never rolls back
+                i = bisect_right(j_node[0], er)
+                if i:
+                    succ[j_node[1] + i - 1].append(target)
+    roots = {f: nodes[f][1] + bisect_left(nodes[f][0], e)
+             for f, e in restarts.items()}
+    reach = _reachable_bits(succ, bit, roots.values())
+    return {f: reach[v].bit_count() for f, v in roots.items()}
+
+
+def _reachable_bits(succ: list[list[int]], bit: list[int],
+                    roots: Iterable[int]) -> list[int]:
+    """Bitset of the ranks reachable from each node reachable from
+    ``roots`` (0 for the others), by one iterative Tarjan SCC pass.
+
+    Tarjan emits components in reverse topological order, so when a
+    component closes every component it points into is already final: its
+    bitset is its own rank bits ORed with theirs.  A node with a non-zero
+    bitset is in a closed component; a visited node without one is still
+    on the Tarjan stack.
+    """
+    order = [0] * len(succ)  # DFS number, 0 = unvisited
+    low = [0] * len(succ)
+    reach = [0] * len(succ)
+    stack: list[int] = []
+    counter = 0
+    for root in roots:
+        if order[root]:
+            continue
+        counter += 1
+        order[root] = low[root] = counter
+        stack.append(root)
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, edges = calls[-1]
+            for w in edges:
+                if not order[w]:
+                    counter += 1
+                    order[w] = low[w] = counter
+                    stack.append(w)
+                    calls.append((w, iter(succ[w])))
+                    break
+                if not reach[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                calls.pop()
+                if calls:
+                    u = calls[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    members = []
+                    acc = 0
+                    while True:
+                        x = stack.pop()
+                        members.append(x)
+                        acc |= bit[x]
+                        if x == v:
+                            break
+                    for x in members:
+                        for w in succ[x]:
+                            acc |= reach[w]
+                    for x in members:
+                        reach[x] = acc
+    return reach
+
+
 def rollback_analysis(
     snapshots: list[SpeSnapshot],
     nprocs: int,
@@ -107,20 +236,18 @@ def rollback_analysis(
 
     A failed process restarts at its latest checkpoint, i.e. the beginning
     of its current epoch; every rank appearing in the resulting recovery
-    line rolls back (including the failed one).
+    line rolls back (including the failed one).  One
+    :func:`rollback_counts` closure per snapshot answers all its failures.
     """
     ranks = list(range(nprocs)) if failed_ranks is None else failed_ranks
     stats = RollbackStats(nprocs=nprocs, trials=len(snapshots) * len(ranks))
     per_rank: dict[int, list[int]] = {r: [] for r in ranks}
     for snap in snapshots:
-        # one solver per snapshot: the inbound index amortises over the
-        # p per-rank solves, and solve_count skips date resolution (the
-        # analysis only aggregates line sizes)
-        solver = RecoveryLineSolver(snap.spe_tables)
+        counts = rollback_counts(snap.spe_tables,
+                                 {f: snap.epochs[f] for f in ranks})
         for f in ranks:
-            count = solver.solve_count({f: snap.epochs[f]})
-            stats.counts.append(count)
-            per_rank[f].append(count)
+            stats.counts.append(counts[f])
+            per_rank[f].append(counts[f])
     stats.per_rank_mean = {
         r: float(np.mean(v)) if v else 0.0 for r, v in per_rank.items()
     }

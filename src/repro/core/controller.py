@@ -137,7 +137,6 @@ class FTController:
         self._settle_polls = 0
         self._round_in_progress = False
         self._stall_sig: tuple = ()
-        self._stall_flushed_round = -1
         self._watchdog_handle = None
         self.stall_flushes = 0
         self.stall_releases = 0
@@ -407,43 +406,67 @@ class FTController:
         if sig != self._stall_sig:
             self._arm_stall_watchdog()
             return
-        if self._stall_flushed_round != round_no:
-            # Step 1: phase skew across execution branches — release every
-            # pending replay (ordering-safe, see SDProtocol.flush_replays)
-            # and let the orphan countdown resume.
-            self._stall_flushed_round = round_no
-            self.stall_flushes += 1
+        # Phase skew across execution branches can close a wait cycle
+        # through a replay or a process release.  Each tick breaks it with
+        # the least disruptive of three steps, in order, releasing as
+        # little as possible: an ANY_SOURCE receive must not match a
+        # later-iteration message ahead of the one the cycle withholds.
+        # (sender's lowest pending replay phase, sender): a sender only ever
+        # emits its lowest pending phase, so its channels keep date order
+        lowest = [(min(phases), proto) for proto in self.protocols
+                  if (phases := proto.replay_phases())]
+        # Step 1: the lowest-phase replays among senders that await no
+        # orphan re-send of their own at or below that phase.  A waiting
+        # sender's replay may depend on the re-executed message behind
+        # that orphan (a reduction child's next-iteration value depends on
+        # the parent's re-sent total); the skewed replay the round is
+        # stuck on belongs to a sender with no such wait.
+        free = [(q, proto) for q, proto in lowest
+                if not proto.awaits_orphans(q)]
+        if free:
+            self._stall_flush(free)
+            return
+        # Step 2: release the lowest-registered gated process that holds
+        # no replay (mirrors the phase ordering the notifications would
+        # have used).  With its replay lists empty, its re-executed/new
+        # sends follow everything it owes its peers in channel order.
+        holding = {proto.rank for _q, proto in lowest}
+        stuck = [p for p in self.protocols
+                 if p.status is not Status.RUNNING and p.rank not in holding]
+        if stuck:
+            target = min(
+                stuck,
+                key=lambda p: (
+                    p._reported_phase if p._reported_phase is not None
+                    else 1 << 30,
+                    p.rank,
+                ),
+            )
+            target._reported_phase = None
+            target.set_running()
+            self.stall_releases += 1
             if self.obs.enabled:
-                self.obs.counter("recovery.stall_flushes").inc()
-            for proto in self.protocols:
-                proto.flush_replays()
+                self.obs.counter("recovery.stall_releases").inc()
             self._arm_stall_watchdog()
             return
-        # Step 2: the wait cycle runs through a process release (an orphan's
-        # re-sender needs traffic from a still-gated process).  Releasing a
-        # gated process early is ordering-safe once replays are flushed:
-        # everything a rolled-back peer needs from it is already on the
-        # wire, so its re-executed/new sends follow them in channel order.
-        # Release the lowest-registered one per tick (mirrors the phase
-        # ordering the notifications would have used).
-        stuck = [p for p in self.protocols if p.status is not Status.RUNNING]
-        if not stuck:
-            raise ProtocolError(
-                f"recovery round {round_no} stalled with every process "
-                f"running — outstanding orphans will never drain"
-            )
-        target = min(
-            stuck,
-            key=lambda p: (
-                p._reported_phase if p._reported_phase is not None else 1 << 30,
-                p.rank,
-            ),
+        # Step 3: the lowest pending phase's replays from every sender.
+        if lowest:
+            self._stall_flush(lowest)
+            return
+        raise ProtocolError(
+            f"recovery round {round_no} stalled with every process "
+            f"running — outstanding orphans will never drain"
         )
-        target._reported_phase = None
-        target.set_running()
-        self.stall_releases += 1
+
+    def _stall_flush(self, candidates: list) -> None:
+        """Emit the lowest phase among ``(phase, sender)`` candidates."""
+        phase = min(q for q, _proto in candidates)
+        self.stall_flushes += 1
         if self.obs.enabled:
-            self.obs.counter("recovery.stall_releases").inc()
+            self.obs.counter("recovery.stall_flushes").inc()
+        for q, proto in candidates:
+            if q == phase:
+                proto.emit_replays(phase)
         self._arm_stall_watchdog()
 
     def _restart_failed(self, rank: int) -> None:

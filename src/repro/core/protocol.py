@@ -676,21 +676,7 @@ class SDProtocol(ProtocolHook):
         """Fig. 3 lines 70-74: replay this phase's logged/unacked messages
         and unblock if the status condition is met."""
         phase = payload["phase"]
-        # Emit this phase's replays in date order (per-channel FIFO of the
-        # original execution).  EVERY replay re-enters the NonAck set until
-        # its (fresh or duplicate) acknowledgement returns: a replay is an
-        # unacknowledged send, and if the next failure purges it in flight
-        # the NonAck coverage of the following round re-sends it — a log
-        # entry alone would not (its recorded reception epoch belongs to
-        # the branch that never received this copy; DESIGN.md §7.2).
-        batch: list[tuple[int, Any]] = [
-            (lm.date, lm) for lm in self.replay_logged.pop(phase, [])
-        ] + [
-            (pa.date, pa) for pa in self.replay_nonack.pop(phase, [])
-        ]
-        for _date, m in sorted(batch, key=lambda e: e[0]):
-            self._replay(m.dst, m.tag, m.payload, m.size, m.date, m.epoch_send,
-                         m.phase_send, relog=True, orig_uid=m.uid)
+        self.emit_replays(phase)
         reported = self._reported_phase
         if reported is None:
             return
@@ -708,32 +694,38 @@ class SDProtocol(ProtocolHook):
                                phase=self.state.phase)
         self.proc.unpause()
 
-    def flush_replays(self) -> int:
-        """Emit every pending replay immediately, in phase order.
+    def replay_phases(self) -> set[int]:
+        """Phases that still hold pending replays."""
+        return set(self.replay_logged) | set(self.replay_nonack)
 
-        Stall-breaker for cross-branch phase skew (see DESIGN.md §5 and the
-        controller's watchdog): after earlier recoveries, a replay can be
-        registered at a phase above an orphan whose drain needs this very
-        replay's receiver to make progress.  Flushing is ordering-safe: a
-        process only runs once its replay lists are empty, so these
-        messages always precede the sender's future traffic per channel,
-        and within the flush phases go out in ascending order.
+    def awaits_orphans(self, phase: int) -> bool:
+        """Whether an orphan of a phase at or below ``phase`` has not been
+        re-sent to this process yet."""
+        return any(n for p, n in self.orph_count.items() if p <= phase)
+
+    def emit_replays(self, phase: int) -> None:
+        """Emit one phase's pending replays, in date order.
+
+        ``ReadyPhase(phase)`` calls this; so does the controller's stall
+        watchdog, always on this sender's lowest pending phase (DESIGN.md
+        §7.3).
+        Dates are this sender's send-sequence numbers, so date order IS the
+        per-channel emission order of the original execution.  EVERY replay
+        re-enters the NonAck set until its (fresh or duplicate)
+        acknowledgement returns: a replay is an unacknowledged send, and if
+        the next failure purges it in flight the NonAck coverage of the
+        following round re-sends it — a log entry alone would not (its
+        recorded reception epoch belongs to the branch that never received
+        this copy; DESIGN.md §7.2).
         """
-        entries: list[tuple[int, Any]] = []
-        for msgs in self.replay_logged.values():
-            entries.extend((lm.date, lm) for lm in msgs)
-        for msgs in self.replay_nonack.values():
-            entries.extend((pa.date, pa) for pa in msgs)
-        self.replay_logged = {}
-        self.replay_nonack = {}
-        # Dates are this sender's send-sequence numbers, so date order IS
-        # the original per-channel emission order.  relog=True throughout —
-        # see _on_ready_phase.
-        for _date, m in sorted(entries, key=lambda e: e[0]):
-            self._replay(m.dst, m.tag, m.payload, m.size, m.date,
-                         m.epoch_send, m.phase_send, relog=True,
-                         orig_uid=m.uid)
-        return len(entries)
+        batch: list[tuple[int, Any]] = [
+            (lm.date, lm) for lm in self.replay_logged.pop(phase, [])
+        ] + [
+            (pa.date, pa) for pa in self.replay_nonack.pop(phase, [])
+        ]
+        for _date, m in sorted(batch, key=lambda e: e[0]):
+            self._replay(m.dst, m.tag, m.payload, m.size, m.date, m.epoch_send,
+                         m.phase_send, relog=True, orig_uid=m.uid)
 
     def _replay(self, dst: int, tag: int, payload: Any, size: int, date: int,
                 epoch_send: int, phase_send: int, relog: bool,

@@ -15,10 +15,13 @@ message) matching ``(sender, receiver, epoch_send)`` with a reception
 epoch at or above the receiver's bound, giving the message ``uid`` the
 rest of the tooling (Perfetto flows, trace dumps) indexes by.
 
-The explained recovery line is produced by the *same* solver the recovery
-process and the Table I offline analysis use, so it is equal to
-``RecoveryLineSolver.solve()`` by construction — asserted in
-``tests/obs/test_explain.py``.
+The explained recovery line is produced by the *same* worklist solver the
+recovery process uses (its ``on_step`` callback reports each step), so it
+is equal to ``RecoveryLineSolver.solve()`` by construction — asserted in
+``tests/obs/test_explain.py``.  The Table I offline analysis counts line
+sizes with a graph closure instead
+(:func:`repro.analysis.rollback.rollback_counts`), pinned to the same
+fix-point by ``tests/properties/test_recovery_solver_equivalence.py``.
 """
 
 from __future__ import annotations

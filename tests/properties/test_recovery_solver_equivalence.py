@@ -1,19 +1,22 @@
-"""Equivalence property: the worklist recovery-line solver (both its
-incremental untraced path and its traced full-rescan path) computes the
-same least fix-point as the literal Fig. 4 transcription.
+"""Equivalence property: the worklist recovery-line solver (with and
+without an ``on_step`` tracer) and the Table I rollback closure compute
+the same least fix-point as the literal Fig. 4 transcription.
 
-The incremental path's correctness rests on a subtle invariant — each
-receiver's consumed edge prefix covers every edge with ``epoch_recv``
-at or above the *minimum* bound seen so far — so it is checked three ways:
+The closure answers only line *sizes*, one per single-rank failure, from
+a reachability graph over (rank, restart-epoch bound) nodes — a different
+algorithm from the worklist — so it is pinned three ways:
 
-* randomized SPE tables and failure sets (including multi-failure unions);
-* repeated solves on one solver instance (the per-solve cursor must reset,
-  and the once-per-snapshot sorted index must not be corrupted by use —
-  this is exactly the Table I / rollback-analysis usage pattern);
-* the full protocol stack on the minimized chaos reproducer schedules
-  (second failure during network drain, re-kill of a just-restored rank,
-  two rounds queued back-to-back), where every live ``solve`` call is
-  cross-checked against the naive reference mid-recovery.
+* randomized SPE tables: every single-rank failure at every epoch,
+  including ranks that appear only as receivers, failed ranks absent from
+  the tables, and non-contiguous rank ids;
+* :func:`rollback_analysis` over snapshot lists, with ``failed_ranks``
+  subsets;
+* real SPE snapshots of a 64-rank CG Table I cell, against the worklist.
+
+The worklist itself is also checked on multi-failure unions, on repeated
+solves on one instance (the explain/baseline usage), and on the full
+protocol stack driving the minimized chaos reproducer schedules, where
+every live ``solve`` call is cross-checked mid-recovery.
 """
 
 import random
@@ -22,6 +25,11 @@ import pytest
 
 from repro.chaos.schedule import FailureSpec, TrialSchedule
 from repro.chaos.trial import run_trial_schedule
+from repro.analysis.rollback import (
+    SpeSnapshot,
+    rollback_analysis,
+    rollback_counts,
+)
 from repro.core.recovery import NaiveRecoveryLineSolver, RecoveryLineSolver
 
 
@@ -66,13 +74,10 @@ def _assert_equivalent(tables, failed):
     )
     assert fast == ref
     assert traced == ref
-    # the mapping's iteration order must also be path-independent (it can
-    # leak into restore scheduling)
-    assert list(fast) == list(ref) == list(traced)
-    # the count-only path (Table I analysis) sees the same line size, and
-    # repeating it on the same instance must not corrupt the scratch state
-    assert solver.solve_count(failed) == len(ref)
-    assert solver.solve_count(failed) == len(ref)
+    # the mapping's iteration order must also be rank-sorted (it can leak
+    # into restore scheduling)
+    assert list(fast) == list(ref) == list(traced) == sorted(ref)
+    # repeating the solve on the same instance must not corrupt its index
     assert solver.solve(failed) == ref
     # every traced step lowers a bound onto an edge that exists
     for k, epoch_send, j, _epoch_recv, _bound in steps:
@@ -80,16 +85,117 @@ def _assert_equivalent(tables, failed):
     return solver, ref
 
 
+def _assert_closure_matches(tables):
+    """Closure counts == len(naive) == len(traced) for every single-rank
+    failure at every epoch of the tables, failed ranks queried together
+    (one closure per epoch, as the analysis queries one per snapshot)."""
+    epochs = sorted({e for spe in tables.values() for e in spe})
+    for epoch in epochs:
+        restarts = {r: epoch for r, spe in tables.items() if epoch in spe}
+        counts = rollback_counts(tables, restarts)
+        assert set(counts) == set(restarts)
+        for rank, count in counts.items():
+            failed = {rank: epoch}
+            ref = NaiveRecoveryLineSolver(tables).solve(failed)
+            traced = RecoveryLineSolver(tables).solve(
+                failed, on_step=lambda *a: None
+            )
+            assert count == len(ref) == len(traced), (rank, epoch)
+
+
 def test_randomized_tables_and_failures():
     rng = random.Random(20110)
     for _ in range(300):
         tables, failed = _random_world(rng)
         _assert_equivalent(tables, failed)
+        _assert_closure_matches(tables)
+
+
+def test_closure_with_ranks_absent_from_tables():
+    """Receivers with no SPE table of their own never roll back unless
+    they fail; a failed rank absent from the tables rolls back itself plus
+    whatever its inbound receptions force (the reference sees it as a rank
+    with one empty epoch, which adds no edge)."""
+    rng = random.Random(31)
+    for _ in range(150):
+        tables, _ = _random_world(rng)
+        ranks = sorted(tables)
+        dropped = set(rng.sample(ranks, rng.randint(1, max(1, len(ranks) // 3))))
+        kept = {r: spe for r, spe in tables.items() if r not in dropped}
+        if not kept:
+            continue
+        _assert_closure_matches(kept)
+        for rank in sorted(dropped):
+            epoch = rng.randint(1, 6)
+            padded = {**kept, rank: {epoch: (0, {})}}
+            ref = NaiveRecoveryLineSolver(padded).solve({rank: epoch})
+            assert rollback_counts(kept, {rank: epoch}) == {rank: len(ref)}
+
+
+def test_rollback_analysis_matches_reference_on_subsets():
+    """The analysis aggregates closure counts per (snapshot, failed rank)
+    in snapshot-major order, for all ranks or a ``failed_ranks`` subset."""
+    rng = random.Random(5)
+    for _ in range(60):
+        snaps = []
+        for t in range(rng.randint(1, 3)):
+            tables, _ = _random_world(rng)
+            snaps.append(SpeSnapshot(
+                time=float(t), spe_tables=tables,
+                epochs={r: rng.choice(sorted(spe)) for r, spe in tables.items()},
+            ))
+        nprocs = min(len(s.spe_tables) for s in snaps)
+        subsets = [None, rng.sample(range(nprocs), rng.randint(1, nprocs))]
+        for failed_ranks in subsets:
+            stats = rollback_analysis(snaps, nprocs, failed_ranks)
+            ranks = range(nprocs) if failed_ranks is None else failed_ranks
+            expected = [
+                len(NaiveRecoveryLineSolver(s.spe_tables).solve(
+                    {f: s.epochs[f]}))
+                for s in snaps for f in ranks
+            ]
+            assert stats.counts == expected
+            assert stats.trials == len(expected)
+            assert list(stats.per_rank_mean) == list(ranks)
+
+
+def test_closure_matches_worklist_on_cg_snapshots():
+    """Real SPE snapshots of a 64-rank CG Table I cell: the closure's
+    count for every (snapshot, failed rank) equals the worklist's line."""
+    from repro.apps import TABLE1_KERNELS
+    from repro.analysis import SpeSampler
+    from repro.core import ProtocolConfig, build_ft_world
+    from repro.core.clustering import block_clusters
+
+    nprocs = 64
+    cls = TABLE1_KERNELS["CG"]
+    config = ProtocolConfig(
+        checkpoint_interval=6e-5, cluster_of=block_clusters(nprocs, 4),
+        cluster_stagger=8e-6, rank_stagger=2e-7,
+        lightweight=True, retain_payloads=False,
+    )
+    world, controller = build_ft_world(
+        nprocs, lambda r, s: cls(r, s, niters=4, compute_time=1e-5), config,
+        copy_payloads=False,
+    )
+    sampler = SpeSampler(controller, interval=7e-5)
+    sampler.arm()
+    world.launch()
+    world.run()
+    assert len(sampler.snapshots) >= 3
+    for snap in sampler.snapshots:
+        counts = rollback_counts(snap.spe_tables, snap.epochs)
+        solver = RecoveryLineSolver(snap.spe_tables)
+        for f in range(nprocs):
+            line = solver.solve({f: snap.epochs[f]}, on_step=lambda *a: None)
+            assert counts[f] == len(line), (snap.time, f)
+    # the cell must exercise multi-rank lines, not trivial ones
+    assert rollback_analysis(sampler.snapshots, nprocs).mean_count > 1
 
 
 def test_repeated_solves_reuse_one_solver():
-    """The rollback analysis builds one solver per snapshot and solves per
-    failed rank: per-solve cursors must not bleed between solves."""
+    """One solver per snapshot, one solve per failed rank (the domino
+    baseline's pattern): solves must not bleed into each other."""
     rng = random.Random(4096)
     for _ in range(40):
         tables, _ = _random_world(rng)
@@ -111,9 +217,9 @@ def test_multi_failure_union_matches_reference():
         _assert_equivalent(tables, failed)
 
 
-def test_sparse_rank_ids_fall_back_to_dict_path():
+def test_sparse_rank_ids_match_reference():
     """Non-contiguous rank ids (offline analyses can slice worlds) must
-    take the dict-backed path and still match the reference."""
+    match the reference, for the worklist and the closure."""
     rng = random.Random(99)
     for _ in range(60):
         tables, failed = _random_world(rng)
@@ -126,8 +232,8 @@ def test_sparse_rank_ids_fall_back_to_dict_path():
             for k, spe in tables.items()
         }
         failed = {remap[r]: e for r, e in failed.items()}
-        solver, _ = _assert_equivalent(tables, failed)
-        assert solver._dense_n is None  # really exercised the dict path
+        _assert_equivalent(tables, failed)
+        _assert_closure_matches(tables)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +264,7 @@ def test_live_recovery_solves_match_reference(monkeypatch, failures):
         out = orig(self, failed_restarts, on_step)
         ref = NaiveRecoveryLineSolver(self.spe_tables).solve(failed_restarts)
         assert out == ref and list(out) == list(ref)
-        # exercise the *other* path on the same live tables too
+        # the traced and untraced solves must agree on the live tables
         if on_step is None:
             other = orig(
                 rec.RecoveryLineSolver(self.spe_tables),
